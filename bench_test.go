@@ -24,7 +24,6 @@ import (
 	"p2/internal/lower"
 	"p2/internal/netsim"
 	"p2/internal/placement"
-	"p2/internal/search"
 	"p2/internal/synth"
 	"p2/internal/topology"
 	"p2/internal/trace"
@@ -624,39 +623,6 @@ func BenchmarkPlanJointEngine(b *testing.B) {
 }
 
 // --- Extensions beyond the paper -------------------------------------------
-
-// BenchmarkExtensionBestFirst compares cost-guided Dijkstra search against
-// full enumeration + ranking for finding the single optimal program.
-func BenchmarkExtensionBestFirst(b *testing.B) {
-	m := mustMatrix(b, []int{4, 16}, []int{4, 16}, [][]int{{2, 2}, {2, 8}})
-	h := hierarchy.MustBuild(hierarchy.KindReductionAxes, m, []int{0}, hierarchy.Options{})
-	model := &cost.Model{Sys: topology.A100System(4), Algo: cost.Ring, Bytes: cost.PayloadBytes(4)}
-	prog, total, stats, ok := search.Best(h, model, 5)
-	if !ok {
-		b.Fatal("search failed")
-	}
-	res := synth.Synthesize(h, synth.Options{})
-	printArtifact("Extension — best-first search vs enumeration",
-		fmt.Sprintf("optimum: %v (%.3fs)\nbest-first expanded %d states; enumeration explored %d for %d programs\n",
-			prog, total, stats.Expanded, res.Explored, len(res.Programs)))
-	b.Run("dijkstra", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			search.Best(h, model, 5)
-		}
-	})
-	b.Run("enumerate-all", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := synth.Synthesize(h, synth.Options{})
-			for _, p := range r.Programs {
-				lp, err := lower.Lower(p, h)
-				if err != nil {
-					b.Fatal(err)
-				}
-				model.ProgramTime(lp)
-			}
-		}
-	})
-}
 
 // BenchmarkExtensionPipelining prints the bucket-count sweep for the
 // RS-AR-AG strategy (gradient bucketing) and times the estimator.

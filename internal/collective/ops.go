@@ -3,6 +3,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Op is one of the five collective operations the paper formalizes.
@@ -141,14 +142,33 @@ func checkReduceLike(states []*State) error {
 			return ErrRowMismatch
 		}
 	}
-	for i := 0; i < len(states); i++ {
-		for j := i + 1; j < len(states); j++ {
-			if !states[i].rowsDisjoint(states[j]) {
-				return ErrOverlap
+	if !disjoint(states) {
+		return ErrOverlap
+	}
+	return nil
+}
+
+// disjoint reports whether no two states share a set bit. The states have
+// one common row set, so only those rows are scanned, and each state is
+// compared against the running union of the ones before it: O(g) per word
+// instead of g² pairwise scans.
+func disjoint(states []*State) bool {
+	s0 := states[0]
+	for i, ow := range s0.occ {
+		for ; ow != 0; ow &= ow - 1 {
+			r := i*64 + bits.TrailingZeros64(ow)
+			for j := r * s0.words; j < (r+1)*s0.words; j++ {
+				var acc uint64
+				for _, st := range states {
+					if st.bits[j]&acc != 0 {
+						return false
+					}
+					acc |= st.bits[j]
+				}
 			}
 		}
 	}
-	return nil
+	return true
 }
 
 // Apply executes op over the group (states in group order; states[0] is the
@@ -156,55 +176,45 @@ func checkReduceLike(states []*State) error {
 // first device of a hierarchical group as root). On success it returns the
 // post-condition states, leaving the inputs untouched. On a precondition
 // violation it returns one of the Err* sentinels.
+//
+// States are immutable, so outputs are shared wherever they are equal:
+// every AllReduce or AllGather member gets the same union state, Broadcast
+// receivers get the source itself, and Reduce non-roots share one empty
+// state. Only ReduceScatter builds g distinct states.
 func Apply(op Op, states []*State) ([]*State, error) {
 	if err := Check(op, states); err != nil {
 		return nil, err
 	}
 	k := states[0].k
 	g := len(states)
+	out := make([]*State, g)
 	switch op {
-	case AllReduce:
-		sum := unionAll(states)
-		out := make([]*State, g)
-		for i := range out {
-			out[i] = sum.Clone()
-		}
-		return out, nil
+	case AllReduce, AllGather:
+		fill(out, unionAll(states))
 	case Reduce:
-		sum := unionAll(states)
-		out := make([]*State, g)
-		out[0] = sum
-		for i := 1; i < g; i++ {
-			out[i] = NewState(k)
-		}
-		return out, nil
+		out[0] = unionAll(states)
+		fill(out[1:], NewState(k))
 	case ReduceScatter:
 		sum := unionAll(states)
 		rows := sum.Rows()
 		per := len(rows) / g
-		out := make([]*State, g)
 		for i := range out {
 			out[i] = NewState(k)
 			for _, r := range rows[i*per : (i+1)*per] {
-				copy(out[i].row(r), sum.row(r))
+				out[i].copyRow(sum, r)
 			}
 		}
-		return out, nil
-	case AllGather:
-		sum := unionAll(states)
-		out := make([]*State, g)
-		for i := range out {
-			out[i] = sum.Clone()
-		}
-		return out, nil
 	case Broadcast:
-		out := make([]*State, g)
-		for i := range out {
-			out[i] = states[0].Clone()
-		}
-		return out, nil
+		fill(out, states[0])
 	default:
 		return nil, fmt.Errorf("collective: unknown op %v", op)
+	}
+	return out, nil
+}
+
+func fill(out []*State, s *State) {
+	for i := range out {
+		out[i] = s
 	}
 }
 

@@ -16,11 +16,21 @@ import (
 	"strings"
 )
 
-// State is a k×k boolean matrix stored as k rows of packed 64-bit words.
+// State is a k×k boolean matrix stored as k rows of packed 64-bit words,
+// plus a k-bit row-occupancy set (bit r set iff row r is non-empty) that
+// row-set queries read instead of scanning the rows.
+//
+// A State is immutable once built: Set, Clear and the package's own
+// builders only ever touch a state that has not been handed out yet.
+// Apply relies on this to share one output state between group members
+// (and with its inputs, for Broadcast), and dsl.Context relies on it to
+// copy contexts by pointer. Callers must Clone before mutating a state
+// they did not build.
 type State struct {
 	k     int
-	words int      // words per row
+	words int      // words per row, and words of occ
 	bits  []uint64 // k * words, row-major
+	occ   []uint64 // row-occupancy set: bit r set iff row r has a set bit
 }
 
 // NewState returns the empty (all zero) k×k state.
@@ -29,16 +39,19 @@ func NewState(k int) *State {
 		panic(fmt.Sprintf("collective: NewState(%d)", k))
 	}
 	w := (k + 63) / 64
-	return &State{k: k, words: w, bits: make([]uint64, k*w)}
+	buf := make([]uint64, (k+1)*w)
+	return &State{k: k, words: w, bits: buf[: k*w : k*w], occ: buf[k*w:]}
 }
 
 // InitialState returns the state of device i before any reduction: every
 // chunk present, contributed only by device i (column i all ones).
 func InitialState(k, i int) *State {
 	s := NewState(k)
+	s.checkIdx(0, i)
 	for r := 0; r < k; r++ {
-		s.Set(r, i)
+		s.bits[r*s.words+i/64] |= 1 << (uint(i) % 64)
 	}
+	fillOnes(s.occ, k)
 	return s
 }
 
@@ -46,20 +59,30 @@ func InitialState(k, i int) *State {
 func FullState(k int) *State {
 	s := NewState(k)
 	for r := 0; r < k; r++ {
-		for c := 0; c < k; c++ {
-			s.Set(r, c)
-		}
+		fillOnes(s.row(r), k)
 	}
+	fillOnes(s.occ, k)
 	return s
+}
+
+// fillOnes sets the first n bits of the packed words w.
+func fillOnes(w []uint64, n int) {
+	for j := range w {
+		w[j] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		w[len(w)-1] = 1<<(uint(n)%64) - 1
+	}
 }
 
 // K returns the universe size.
 func (s *State) K() int { return s.k }
 
-// Set sets bit (row, col).
+// Set sets bit (row, col). Only call it on a state still being built.
 func (s *State) Set(row, col int) {
 	s.checkIdx(row, col)
 	s.bits[row*s.words+col/64] |= 1 << (uint(col) % 64)
+	s.occ[row/64] |= 1 << (uint(row) % 64)
 }
 
 // Get reports bit (row, col).
@@ -79,12 +102,7 @@ func (s *State) row(r int) []uint64 { return s.bits[r*s.words : (r+1)*s.words] }
 
 // RowEmpty reports whether row r has no bits set.
 func (s *State) RowEmpty(r int) bool {
-	for _, w := range s.row(r) {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
+	return s.occ[r/64]&(1<<(uint(r)%64)) == 0
 }
 
 // RowPopCount returns the number of set bits in row r.
@@ -99,10 +117,10 @@ func (s *State) RowPopCount(r int) int {
 // Rows returns the indices of non-empty rows in increasing order — the
 // "rows" operator of Fig. 8 (the data chunks this device holds).
 func (s *State) Rows() []int {
-	var out []int
-	for r := 0; r < s.k; r++ {
-		if !s.RowEmpty(r) {
-			out = append(out, r)
+	out := make([]int, 0, s.NumRows())
+	for i, w := range s.occ {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i*64+bits.TrailingZeros64(w))
 		}
 	}
 	return out
@@ -111,10 +129,8 @@ func (s *State) Rows() []int {
 // NumRows returns the number of non-empty rows.
 func (s *State) NumRows() int {
 	n := 0
-	for r := 0; r < s.k; r++ {
-		if !s.RowEmpty(r) {
-			n++
-		}
+	for _, w := range s.occ {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -128,18 +144,20 @@ func (s *State) PopCount() int {
 	return n
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, the only way to get a mutable state from a
+// shared one.
 func (s *State) Clone() *State {
-	c := &State{k: s.k, words: s.words, bits: make([]uint64, len(s.bits))}
+	c := NewState(s.k)
 	copy(c.bits, s.bits)
+	copy(c.occ, s.occ)
 	return c
 }
 
-// Clear zeroes the state in place.
+// Clear zeroes the state in place. Only call it on a state still being
+// built.
 func (s *State) Clear() {
-	for i := range s.bits {
-		s.bits[i] = 0
-	}
+	clear(s.bits)
+	clear(s.occ)
 }
 
 // Equal reports exact equality.
@@ -178,28 +196,29 @@ func (s *State) IsFull() bool {
 	return s.PopCount() == s.k*s.k
 }
 
-// unionInto ORs o into s (s must have the same k).
+// unionInto ORs o into s (s must have the same k and still be being
+// built).
 func (s *State) unionInto(o *State) {
 	for i, w := range o.bits {
 		s.bits[i] |= w
+	}
+	for i, w := range o.occ {
+		s.occ[i] |= w
+	}
+}
+
+// copyRow copies row r of o into s (s must still be being built).
+func (s *State) copyRow(o *State, r int) {
+	copy(s.row(r), o.row(r))
+	if !o.RowEmpty(r) {
+		s.occ[r/64] |= 1 << (uint(r) % 64)
 	}
 }
 
 // sameRowSet reports whether s and o have identical non-empty-row sets.
 func (s *State) sameRowSet(o *State) bool {
-	for r := 0; r < s.k; r++ {
-		if s.RowEmpty(r) != o.RowEmpty(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// rowsDisjoint reports whether, for every row index, the rows of s and o
-// share no set bit (the per-chunk ⃝⋆ check of rules R-AllReduce etc.).
-func (s *State) rowsDisjoint(o *State) bool {
-	for i, w := range s.bits {
-		if w&o.bits[i] != 0 {
+	for i, w := range s.occ {
+		if w != o.occ[i] {
 			return false
 		}
 	}
@@ -209,8 +228,8 @@ func (s *State) rowsDisjoint(o *State) bool {
 // rowSetsDisjoint reports whether s and o have no common non-empty row
 // index (the rows ⃝⋆ check of rule R-AllGather).
 func (s *State) rowSetsDisjoint(o *State) bool {
-	for r := 0; r < s.k; r++ {
-		if !s.RowEmpty(r) && !o.RowEmpty(r) {
+	for i, w := range s.occ {
+		if w&o.occ[i] != 0 {
 			return false
 		}
 	}

@@ -174,47 +174,51 @@ func (in Instruction) Groups(h *hierarchy.Hierarchy) [][]int {
 	}
 	rad := h.Radix()
 	k := h.K()
+	// Leaf u belongs to ancestor u/wa, middle position (u%wa)/ws, and
+	// within-slice position u%ws. A Parallel/Master device group fixes
+	// (ancestor, within-slice position) and varies the middle. Every
+	// group has n members; group gi occupies flat[gi*n:(gi+1)*n], filled
+	// in ascending leaf order.
+	ws := rad.Weight(in.Slice)
+	wa, n, num := 0, ws, k/ws // InsideGroup has no ancestor
 	switch in.Form {
 	case InsideGroup:
-		w := rad.Weight(in.Slice)
-		groups := make([][]int, k/w)
-		for u := 0; u < k; u++ {
-			g := u / w
-			groups[g] = append(groups[g], u)
-		}
-		return groups
-	case Parallel, Master:
-		wa := rad.Weight(in.Arg)   // span of one ancestor subtree
-		ws := rad.Weight(in.Slice) // span of one slice subtree
-		// Leaf u belongs to ancestor u/wa, middle position
-		// (u%wa)/ws, and within-slice position u%ws. A device group
-		// fixes (ancestor, within-slice position) and varies the middle.
-		mid := wa / ws
-		var groups [][]int
-		if in.Form == Parallel {
-			groups = make([][]int, k/mid)
-		} else {
-			groups = make([][]int, (k / wa)) // one (position-0) group per ancestor
-		}
-		for u := 0; u < k; u++ {
-			anc := u / wa
-			pos := u % ws
-			if in.Form == Master {
-				if pos != 0 {
-					continue
-				}
-				groups[anc] = append(groups[anc], u)
+	case Parallel:
+		wa = rad.Weight(in.Arg)
+		n = wa / ws
+		num = k / n
+	case Master:
+		wa = rad.Weight(in.Arg)
+		n = wa / ws
+		num = k / wa // one (position-0) group per ancestor
+	}
+	flat := make([]int, num*n)
+	for u := 0; u < k; u++ {
+		var gi, member int
+		switch in.Form {
+		case InsideGroup:
+			gi, member = u/n, u%n
+		case Parallel:
+			gi, member = u/wa*ws+u%ws, u%wa/ws
+		case Master:
+			if u%ws != 0 {
 				continue
 			}
-			g := anc*ws + pos
-			groups[g] = append(groups[g], u)
+			gi, member = u/wa, u%wa/ws
 		}
-		return groups
+		flat[gi*n+member] = u
 	}
-	panic("unreachable")
+	groups := make([][]int, num)
+	for gi := range groups {
+		groups[gi] = flat[gi*n : (gi+1)*n : (gi+1)*n]
+	}
+	return groups
 }
 
-// Context is the per-leaf device state of a synthesis universe.
+// Context is the per-leaf device state of a synthesis universe. Its states
+// are immutable (see collective.State), so contexts share them freely:
+// Apply copies only the pointer slice, and a context taken at any point of
+// a run stays valid and unchanged however the run continues.
 type Context []*collective.State
 
 // NewContext returns the initial context for hierarchy h: leaf u holds only
@@ -228,26 +232,24 @@ func NewContext(h *hierarchy.Hierarchy) Context {
 	return ctx
 }
 
-// Clone deep-copies the context.
-func (c Context) Clone() Context {
-	out := make(Context, len(c))
-	for i, s := range c {
-		out[i] = s.Clone()
-	}
-	return out
-}
-
 // Apply executes one instruction over the context, returning the new
 // context. Devices not participating in any derived group keep their state.
 // It returns the first semantic error encountered (the instruction is then
 // invalid in this state, per the Hoare rules of §3.2).
 func (c Context) Apply(in Instruction, h *hierarchy.Hierarchy) (Context, error) {
-	groups := in.Groups(h)
-	out := c.Clone()
+	return c.ApplyGroups(in, in.Groups(h))
+}
+
+// ApplyGroups is Apply for a caller that has already derived the
+// instruction's device groups (in.Groups(h)).
+func (c Context) ApplyGroups(in Instruction, groups [][]int) (Context, error) {
+	out := make(Context, len(c))
+	copy(out, c)
+	states := make([]*collective.State, 0, len(groups[0])) // groups are uniform
 	for _, g := range groups {
-		states := make([]*collective.State, len(g))
-		for i, u := range g {
-			states[i] = c[u]
+		states = states[:0]
+		for _, u := range g {
+			states = append(states, c[u])
 		}
 		res, err := collective.Apply(in.Op, states)
 		if err != nil {

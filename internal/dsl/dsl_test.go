@@ -277,7 +277,7 @@ func TestMasterOnlyLeavesOthersUnchanged(t *testing.T) {
 func TestApplyDoesNotMutateContext(t *testing.T) {
 	h := reductionHierarchy(t)
 	ctx := NewContext(h)
-	saved := ctx.Clone()
+	saved := deepCopy(ctx)
 	in := Instruction{Slice: 0, Form: InsideGroup, Op: collective.AllReduce}
 	if _, err := ctx.Apply(in, h); err != nil {
 		t.Fatal(err)

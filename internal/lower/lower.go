@@ -11,8 +11,9 @@
 package lower
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"p2/internal/collective"
@@ -109,7 +110,7 @@ func (s *Stepper) Next() (Step, error) {
 	reps := h.Replicas()
 	leafGroups := in.Groups(h)
 	rows := s.ctx[leafGroups[0][0]].NumRows()
-	next, err := s.ctx.Apply(in, h)
+	next, err := s.ctx.ApplyGroups(in, leafGroups)
 	if err != nil {
 		return Step{}, fmt.Errorf("lower: step %d: %w", i, err)
 	}
@@ -120,10 +121,13 @@ func (s *Stepper) Next() (Step, error) {
 	default:
 		rowsOut = next[leafGroups[0][len(leafGroups[0])-1]].NumRows()
 	}
+	n := len(leafGroups[0]) // groups are uniform
 	phys := make([][]int, 0, len(leafGroups)*reps)
+	flat := make([]int, len(leafGroups)*reps*n)
 	for r := 0; r < reps; r++ {
 		for _, g := range leafGroups {
-			pg := make([]int, len(g))
+			pg := flat[:n:n]
+			flat = flat[n:]
 			for gi, u := range g {
 				pg[gi] = h.Leaves[u][r]
 			}
@@ -222,19 +226,8 @@ func (p *Program) Validate() error {
 }
 
 // sortGroupsByFirst orders a step's groups by their first device. Groups
-// are disjoint, so first devices are distinct and the order is unique —
-// insertion sort, sort.Slice and a stable sort all agree. Large steps
-// (hundreds of two-device groups on deep systems) made the quadratic
-// insertion sort the planning profile's hottest frame, so they take the
-// O(n log n) path.
+// are disjoint, so first devices are distinct and the order is unique:
+// any sort, stable or not, gives the same result.
 func sortGroupsByFirst(groups [][]int) {
-	if len(groups) > 16 {
-		sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
-		return
-	}
-	for i := 1; i < len(groups); i++ {
-		for j := i; j > 0 && groups[j-1][0] > groups[j][0]; j-- {
-			groups[j-1], groups[j] = groups[j], groups[j-1]
-		}
-	}
+	slices.SortFunc(groups, func(a, b []int) int { return cmp.Compare(a[0], b[0]) })
 }

@@ -18,6 +18,7 @@
 package synth
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -122,6 +123,7 @@ type synthesizer struct {
 	opts    Options
 	memo    map[memoKey][]dsl.Program
 	res     *Result
+	states  []*collective.State // group scratch for applyCandidate, cap k
 }
 
 type memoKey struct {
@@ -137,11 +139,12 @@ func Synthesize(h *hierarchy.Hierarchy, opts Options) *Result {
 		opts.MaxSize = DefaultMaxSize
 	}
 	s := &synthesizer{
-		h:     h,
-		cands: enumerate(h),
-		opts:  opts,
-		memo:  map[memoKey][]dsl.Program{},
-		res:   &Result{},
+		h:      h,
+		cands:  enumerate(h),
+		opts:   opts,
+		memo:   map[memoKey][]dsl.Program{},
+		res:    &Result{},
+		states: make([]*collective.State, 0, h.K()),
 	}
 	s.targets = make([]*collective.State, h.K())
 	for u := 0; u < h.K(); u++ {
@@ -240,18 +243,25 @@ func (s *synthesizer) suffixes(ctx dsl.Context, budget int) []dsl.Program {
 	return out
 }
 
-// applyCandidate is dsl.Context.Apply specialized to reuse the candidate's
-// precomputed groups.
+// applyCandidate is dsl.Context.ApplyGroups specialized to the
+// candidate's precomputed groups and to unwrapped errors: most candidates
+// fail their precondition, and only success matters here. The new context
+// shares every state with ctx except the ones the step rebuilt, and is
+// only allocated once the first group has passed.
 func (s *synthesizer) applyCandidate(ctx dsl.Context, cand candidate) (dsl.Context, error) {
-	out := ctx.Clone()
+	var out dsl.Context
 	for _, g := range cand.groups {
-		states := make([]*collective.State, len(g))
-		for i, u := range g {
-			states[i] = ctx[u]
+		states := s.states[:0]
+		for _, u := range g {
+			states = append(states, ctx[u])
 		}
 		res, err := collective.Apply(cand.in.Op, states)
 		if err != nil {
 			return nil, err
+		}
+		if out == nil {
+			out = make(dsl.Context, len(ctx))
+			copy(out, ctx)
 		}
 		for i, u := range g {
 			out[u] = res[i]
@@ -260,28 +270,29 @@ func (s *synthesizer) applyCandidate(ctx dsl.Context, cand candidate) (dsl.Conte
 	return out, nil
 }
 
-// hashContext computes a 128-bit FNV-1a hash of the packed context plus the
-// remaining budget.
+// hashContext computes a 128-bit hash of the packed context plus the
+// remaining budget. Each 64-bit word is folded into two independently
+// mixed lanes: a multiply-rotate lane and a splitmix64-finalized lane.
 func hashContext(ctx dsl.Context, budget int) memoKey {
-	const (
-		off1   = 14695981039346656037
-		prime1 = 1099511628211
-		off2   = 0x9e3779b97f4a7c15
-	)
-	var h1 uint64 = off1
-	var h2 uint64 = off2
+	var h1, h2 uint64 = 0x6a09e667f3bcc908, 0x9e3779b97f4a7c15
 	var words []uint64
 	for _, st := range ctx {
 		words = st.AppendWords(words[:0])
 		for _, w := range words {
-			for sh := 0; sh < 64; sh += 8 {
-				b := uint64(byte(w >> sh))
-				h1 = (h1 ^ b) * prime1
-				h2 = (h2 ^ (b + 0xabcdef)) * prime1
-			}
+			h1 = bits.RotateLeft64((h1^w)*0x87c37b91114253d5, 31)
+			h2 = mix64(h2 + w + 0x9e3779b97f4a7c15)
 		}
 	}
 	return memoKey{h1: h1, h2: h2, budget: budget}
+}
+
+// mix64 is the splitmix64 finalizer: a bijection with full avalanche.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // BaselineAllReduce is the default implementation the paper compares
